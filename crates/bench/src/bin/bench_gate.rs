@@ -5,10 +5,11 @@
 //! ```
 //!
 //! Re-measures the `engine` and `trace_codec` micro-benchmarks (the same
-//! workloads as `benches/engine.rs` and `benches/trace_codec.rs`) and
-//! compares the medians against the committed `BENCH_baseline.json`. A
-//! bench more than `--threshold` percent (default 25) slower than its
-//! baseline fails the gate.
+//! workloads as `benches/engine.rs` and `benches/trace_codec.rs`) and the
+//! Perfetto export of one fixed obs report, and compares the medians
+//! against the committed `BENCH_baseline.json`. A bench more than
+//! `--threshold` percent (default 25) slower than its baseline fails the
+//! gate.
 //!
 //! Medians are compared like-for-like against the `bench_gate` section of
 //! the baseline file, written by `--record` with this same harness; when
@@ -31,6 +32,7 @@ use std::hint::black_box;
 use std::io::Write as _;
 use std::time::Instant;
 
+use essio::prelude::*;
 use essio_bench::synthetic_trace;
 use essio_sim::Engine;
 use essio_trace::codec;
@@ -101,6 +103,8 @@ fn engine_same_instant_fifo() -> u64 {
 /// `BENCH_baseline.json`, and the workload.
 struct Gate {
     name: &'static str,
+    /// Legacy study section; empty for a cell that has only a
+    /// `bench_gate` median.
     section: &'static str,
     key: &'static str,
     /// Baselines for engine benches are `{before, after}` objects; the
@@ -114,6 +118,21 @@ fn gates() -> Vec<Gate> {
     let encoded = codec::encode(&records);
     let columnar = codec::encode_columnar(&records);
     let (r1, r2) = (records.clone(), records);
+    // A quick run with obs on and the campaign's disk + network fault plan,
+    // so the export carries fault instants as well as spans and commands.
+    let report = Experiment::combined()
+        .quick()
+        .seed(17)
+        .obs(true)
+        .faults(
+            FaultPlan::none()
+                .seed(0xFA17)
+                .disk(DiskFaultConfig::degraded_drive())
+                .net(NetFaultConfig::lossy_segment()),
+        )
+        .run()
+        .obs
+        .expect("obs(true) yields a report");
     let gate = |name, section, key, nested_after, run| Gate {
         name,
         section,
@@ -174,6 +193,13 @@ fn gates() -> Vec<Gate> {
             Box::new(move || {
                 black_box(codec::decode(black_box(&columnar)).expect("valid")).len() as u64
             }),
+        ),
+        gate(
+            "obs/chrome_trace",
+            "",
+            "",
+            false,
+            Box::new(move || black_box(black_box(&report).chrome_trace()).len() as u64),
         ),
     ]
 }

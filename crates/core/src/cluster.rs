@@ -15,6 +15,7 @@
 //!   (touch streams mid-fault with their continuation message).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use essio_apps::{AppCall, AppReply};
 use essio_faults::{FaultPlan, NetFaultState};
@@ -436,16 +437,29 @@ impl Beowulf {
     }
 
     /// Pre-load a file on one node's disk.
-    pub fn install_file(&mut self, node: u8, path: &str, placement: Placement, content: &[u8]) {
+    pub fn install_file(
+        &mut self,
+        node: u8,
+        path: &str,
+        placement: Placement,
+        content: impl Into<Arc<Vec<u8>>>,
+    ) {
         self.nodes[node as usize]
             .kernel
             .install_file(path, placement, content);
     }
 
-    /// Pre-load a file on every node's disk.
-    pub fn install_all(&mut self, path: &str, placement: Placement, content: &[u8]) {
+    /// Pre-load a file on every node's disk. The nodes share one copy of
+    /// the bytes until one of them writes the file.
+    pub fn install_all(
+        &mut self,
+        path: &str,
+        placement: Placement,
+        content: impl Into<Arc<Vec<u8>>>,
+    ) {
+        let content = content.into();
         for n in 0..self.cfg.nodes {
-            self.install_file(n, path, placement, content);
+            self.install_file(n, path, placement, Arc::clone(&content));
         }
     }
 
@@ -1104,7 +1118,7 @@ mod tests {
     #[test]
     fn single_process_lifecycle_with_file_io() {
         let mut bw = small_cluster(1);
-        bw.install_file(0, "/data/in", Placement::User, &vec![7u8; 8192]);
+        bw.install_file(0, "/data/in", Placement::User, vec![7u8; 8192]);
         bw.spawn(0, "copier", 0, |ctx| {
             let mut input = essio_apps::SimFile::open(ctx, "/data/in", false, Placement::User);
             let data = input.read(ctx, 8192);
@@ -1213,7 +1227,7 @@ mod tests {
     fn identical_seeds_give_identical_traces() {
         let run = || {
             let mut bw = small_cluster(2);
-            bw.install_file(0, "/in", Placement::User, &vec![3u8; 16 * 1024]);
+            bw.install_file(0, "/in", Placement::User, vec![3u8; 16 * 1024]);
             bw.spawn(0, "reader", 0, |ctx| {
                 let mut f = essio_apps::SimFile::open(ctx, "/in", false, Placement::User);
                 for _ in 0..16 {
@@ -1253,7 +1267,7 @@ mod tests {
                 ..Default::default()
             };
             let mut bw = Beowulf::new(cfg);
-            bw.install_file(0, "/in", Placement::User, &vec![3u8; 16 * 1024]);
+            bw.install_file(0, "/in", Placement::User, vec![3u8; 16 * 1024]);
             bw.spawn(0, "reader", 0, |ctx| {
                 let mut f = essio_apps::SimFile::open(ctx, "/in", false, Placement::User);
                 for _ in 0..16 {
@@ -1287,7 +1301,7 @@ mod tests {
             ..Default::default()
         };
         let mut bw = Beowulf::new(cfg);
-        bw.install_file(0, "/in", Placement::User, &vec![1u8; 64 * 1024]);
+        bw.install_file(0, "/in", Placement::User, vec![1u8; 64 * 1024]);
         bw.spawn(0, "reader", 0, |ctx| {
             let mut f = essio_apps::SimFile::open(ctx, "/in", false, Placement::User);
             for _ in 0..64 {

@@ -42,16 +42,35 @@ pub fn synthetic_landsat(side: usize, seed: u64) -> Vec<u8> {
     let ph: Vec<f64> = (0..6)
         .map(|_| rng.range_f64(0.0, std::f64::consts::TAU))
         .collect();
+    // Relief and texture are products of an x factor and a y factor, and
+    // the ridge phase is a sum of an x term and a y term, so each factor is
+    // computed once per column or row. Operands and evaluation order are
+    // those of the per-pixel formula, so every pixel's bytes are too.
+    let columns: Vec<(f64, f64, f64)> = (0..side)
+        .map(|x| {
+            let xf = x as f64;
+            (
+                (xf / 97.0 + ph[0]).sin(),
+                xf / 23.0,
+                (xf / 7.0 + ph[3]).sin(),
+            )
+        })
+        .collect();
     let mut out = Vec::with_capacity(side * side);
     for y in 0..side {
-        for x in 0..side {
-            let (xf, yf) = (x as f64, y as f64);
+        let yf = y as f64;
+        let (relief_y, ridge_y, texture_y) = (
+            (yf / 83.0 + ph[1]).cos(),
+            yf / 31.0,
+            (yf / 5.0 + ph[4]).sin(),
+        );
+        for &(relief_x, ridge_x, texture_x) in &columns {
             // Large-scale relief.
-            let relief = 52.0 * ((xf / 97.0 + ph[0]).sin() * (yf / 83.0 + ph[1]).cos());
+            let relief = 52.0 * (relief_x * relief_y);
             // Mid-scale ridges.
-            let ridges = 26.0 * ((xf / 23.0 + yf / 31.0 + ph[2]).sin()).abs();
+            let ridges = 26.0 * ((ridge_x + ridge_y + ph[2]).sin()).abs();
             // Fine texture.
-            let texture = 12.0 * ((xf / 7.0 + ph[3]).sin() * (yf / 5.0 + ph[4]).sin());
+            let texture = 12.0 * (texture_x * texture_y);
             // Sensor noise.
             let noise = 4.0 * rng.normal();
             let v = 112.0 + relief + ridges + texture + noise;
@@ -70,10 +89,13 @@ pub fn executable_image(bytes: u32, seed: u64) -> Vec<u8> {
 /// Install every application asset on every node's disk.
 pub fn install_assets(bw: &mut Beowulf, seed: u64) {
     let image = synthetic_landsat(IMAGE_SIDE, seed ^ 0x1111);
-    bw.install_all(IMAGE_PATH, Placement::User, &image);
+    bw.install_all(IMAGE_PATH, Placement::User, image);
     for (path, bytes) in [PPM_TEXT, WAVELET_TEXT, NBODY_TEXT] {
-        let blob = executable_image(bytes, seed ^ bytes as u64);
-        bw.install_all(path, Placement::User, &blob);
+        bw.install_all(
+            path,
+            Placement::User,
+            executable_image(bytes, seed ^ bytes as u64),
+        );
     }
 }
 
@@ -144,6 +166,27 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 64 * 64);
+    }
+
+    /// FNV-1a 64 of the full-size scene for two seeds. Wavelet timing does
+    /// not depend on pixel values, so trace fingerprints cannot catch a
+    /// float drift in the scene; these pins do.
+    #[test]
+    fn image_bytes_are_pinned() {
+        // `essio_conform::Fnv64`, folded here: essio-conform depends on
+        // this crate.
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        for (seed, pinned) in [(1u64, 0x20e0_2b64_5ab1_6c2eu64), (2, 0x8cfe_0f6c_06b0_254f)] {
+            assert_eq!(
+                fnv1a(&synthetic_landsat(IMAGE_SIDE, seed)),
+                pinned,
+                "scene bytes changed for seed {seed}"
+            );
+        }
     }
 
     #[test]

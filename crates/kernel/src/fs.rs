@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use essio_disk::DiskLayout;
 
@@ -53,8 +54,9 @@ pub struct Inode {
     pub placement: Placement,
     /// Indirect block (allocated once `blocks.len() > NDIRECT`).
     pub indirect: Option<BlockNo>,
-    /// Backing content (host-side).
-    data: Vec<u8>,
+    /// Backing content (host-side), copy-on-write: files installed from
+    /// one buffer share it until one of them is written.
+    data: Arc<Vec<u8>>,
 }
 
 impl Inode {
@@ -277,7 +279,7 @@ impl Fs {
             blocks: Vec::new(),
             placement,
             indirect: None,
-            data: Vec::new(),
+            data: Arc::default(),
         }));
         self.root.insert(path.to_string(), ino);
         self.stats.created += 1;
@@ -315,6 +317,27 @@ impl Fs {
 
     // ----- data ----------------------------------------------------------
 
+    /// Create `path` holding `content` without copying it: the file shares
+    /// the buffer with every other file installed from it until one of
+    /// them is written. Blocks are allocated exactly as writing `content`
+    /// at offset 0 of the new file would allocate them.
+    pub fn install(
+        &mut self,
+        path: &str,
+        placement: Placement,
+        content: Arc<Vec<u8>>,
+    ) -> Result<Ino, SysError> {
+        let ino = self.create(path, placement)?;
+        let end = content.len() as u64;
+        if end > 0 {
+            self.grow(ino, end, &mut WriteOutcome::default())?;
+        }
+        let node = self.inodes[ino as usize].as_mut().expect("just created");
+        node.size = end;
+        node.data = content;
+        Ok(ino)
+    }
+
     /// Write `data` at byte `offset`, growing the file as needed.
     pub fn write_at(
         &mut self,
@@ -325,13 +348,38 @@ impl Fs {
         if data.is_empty() {
             return Ok(WriteOutcome::default());
         }
-        let placement = self.inode(ino).ok_or(SysError::NotFound)?.placement;
         let end = offset + data.len() as u64;
-        let blocks_needed = (end as usize).div_ceil(BLOCK_BYTES as usize);
-
         let mut out = WriteOutcome::default();
-        // Allocate any missing blocks first (immutable borrow dance).
-        let cur_blocks = self.inode(ino).unwrap().blocks.len();
+        let inode_block = self.inode_block(ino);
+        let extended = self.grow(ino, end, &mut out)?;
+
+        let node = self.inodes[ino as usize].as_mut().expect("checked by grow");
+        let content = Arc::make_mut(&mut node.data);
+        if content.len() < end as usize {
+            content.resize(end as usize, 0);
+        }
+        content[offset as usize..end as usize].copy_from_slice(data);
+        node.size = node.size.max(end);
+
+        let first_blk = (offset / BLOCK_BYTES as u64) as usize;
+        let last_blk = ((end - 1) / BLOCK_BYTES as u64) as usize;
+        out.data_blocks = node.blocks[first_blk..=last_blk].to_vec();
+        // The inode itself (size, block map) is dirtied by any extension.
+        if extended {
+            out.meta_blocks.push(inode_block);
+        }
+        Ok(out)
+    }
+
+    /// Allocate the data blocks (and the indirect block, once the map
+    /// passes [`NDIRECT`]) a file needs to hold `end` bytes. The bitmap and
+    /// indirect blocks this dirties go into `out.meta_blocks`. Returns
+    /// whether the block map changed.
+    fn grow(&mut self, ino: Ino, end: u64, out: &mut WriteOutcome) -> Result<bool, SysError> {
+        let node = self.inode(ino).ok_or(SysError::NotFound)?;
+        let placement = node.placement;
+        let cur_blocks = node.blocks.len();
+        let blocks_needed = (end as usize).div_ceil(BLOCK_BYTES as usize);
         let mut new_blocks = Vec::new();
         for _ in cur_blocks..blocks_needed {
             let b = self.alloc.alloc(placement).ok_or(SysError::NoSpace)?;
@@ -347,7 +395,6 @@ impl Fs {
             }
         }
         let crossed_indirect = cur_blocks <= NDIRECT && blocks_needed > NDIRECT;
-        let inode_block = self.inode_block(ino);
         let indirect_needed = if crossed_indirect {
             Some(self.alloc.alloc(placement).ok_or(SysError::NoSpace)?)
         } else {
@@ -360,20 +407,7 @@ impl Fs {
             node.indirect = Some(ind);
             out.meta_blocks.push(ind);
         }
-        if node.data.len() < end as usize {
-            node.data.resize(end as usize, 0);
-        }
-        node.data[offset as usize..end as usize].copy_from_slice(data);
-        node.size = node.size.max(end);
-
-        let first_blk = (offset / BLOCK_BYTES as u64) as usize;
-        let last_blk = ((end - 1) / BLOCK_BYTES as u64) as usize;
-        out.data_blocks = node.blocks[first_blk..=last_blk].to_vec();
-        // The inode itself (size, block map) is dirtied by any extension.
-        if !new_blocks.is_empty() || crossed_indirect {
-            out.meta_blocks.push(inode_block);
-        }
-        Ok(out)
+        Ok(!new_blocks.is_empty() || crossed_indirect)
     }
 
     /// Plan a read of `len` bytes at `offset` (short at EOF).
@@ -483,6 +517,43 @@ mod tests {
         let plan = f.read_plan(ino, 0, 3000).unwrap();
         assert_eq!(plan.data, payload);
         assert_eq!(plan.blocks.len(), 3);
+    }
+
+    #[test]
+    fn installed_content_is_copy_on_write() {
+        let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let shared = Arc::new(payload.clone());
+        let (mut a, mut b) = (fs(), fs());
+        let ia = a
+            .install("/img", Placement::User, Arc::clone(&shared))
+            .unwrap();
+        let ib = b
+            .install("/img", Placement::User, Arc::clone(&shared))
+            .unwrap();
+        let ic = b
+            .install("/copy", Placement::User, Arc::clone(&shared))
+            .unwrap();
+        // Installing allocates what writing the same bytes would.
+        let mut written = fs();
+        let iw = written.create("/img", Placement::User).unwrap();
+        written.write_at(iw, 0, &payload).unwrap();
+        assert_eq!(
+            a.inode(ia).unwrap().blocks,
+            written.inode(iw).unwrap().blocks
+        );
+        assert_eq!(a.stats.blocks_allocated, written.stats.blocks_allocated);
+        assert_eq!(
+            a.inode(ia).unwrap().content().as_ptr(),
+            shared.as_ptr(),
+            "an installed file holds no copy of its own"
+        );
+
+        a.write_at(ia, 100, b"overwritten").unwrap();
+        b.write_at(ic, 2990, &[0xEE; 20]).unwrap();
+        assert_eq!(&a.read_plan(ia, 100, 11).unwrap().data, b"overwritten");
+        assert_eq!(b.read_plan(ic, 2990, 20).unwrap().data, vec![0xEE; 20]);
+        assert_eq!(b.read_plan(ib, 0, 3000).unwrap().data, payload);
+        assert_eq!(*shared, payload, "the installer's buffer is untouched");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   next tick time, self-scheduling forever.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use essio_disk::{BlockRequest, Completion, IdeDriver, SubmitOutcome};
 use essio_obs::{Obs, SpanKind, SpanScope};
@@ -359,16 +360,17 @@ impl Kernel {
 
     /// Pre-load a file onto the filesystem (experiment setup: executables,
     /// the wavelet's image). No I/O is simulated — this is "the disk came
-    /// installed that way".
-    pub fn install_file(&mut self, path: &str, placement: Placement, content: &[u8]) -> Ino {
-        let ino = self
-            .fs
-            .create(path, placement)
-            .expect("install path unique");
+    /// installed that way". Passing the same `Arc` to several kernels
+    /// shares one copy of the bytes until a file is written.
+    pub fn install_file(
+        &mut self,
+        path: &str,
+        placement: Placement,
+        content: impl Into<Arc<Vec<u8>>>,
+    ) -> Ino {
         self.fs
-            .write_at(ino, 0, content)
-            .expect("space for installed file");
-        ino
+            .install(path, placement, content.into())
+            .expect("unique install path with space for the file")
     }
 
     /// Register a process before first resume.
@@ -1527,7 +1529,7 @@ mod tests {
         let mut k = Kernel::new(cfg);
         k.set_instrumentation(InstrumentationLevel::Full);
         let payload = vec![9u8; 1000];
-        k.install_file("/data", Placement::User, &payload);
+        k.install_file("/data", Placement::User, payload.clone());
         let mut p = Pump::new(k);
         p.k.register_process(1);
         let fd = p
@@ -1665,7 +1667,7 @@ mod tests {
     fn cold_read_blocks_and_wakes_with_data() {
         let mut k = kernel();
         let payload = vec![7u8; 3000];
-        k.install_file("/data", Placement::User, &payload);
+        k.install_file("/data", Placement::User, payload.clone());
         k.register_process(1);
         let (o, d) = k.syscall(
             0,
@@ -1711,7 +1713,7 @@ mod tests {
     fn sequential_reads_grow_readahead_requests() {
         let mut k = kernel();
         let payload = vec![1u8; 256 * 1024];
-        k.install_file("/image", Placement::User, &payload);
+        k.install_file("/image", Placement::User, payload.clone());
         k.register_process(1);
         let mut p = Pump::new(k);
         let fd = p
@@ -1764,7 +1766,7 @@ mod tests {
         cfg.readahead = false;
         let mut k = Kernel::new(cfg);
         k.set_instrumentation(InstrumentationLevel::Full);
-        k.install_file("/image", Placement::User, &vec![1u8; 32 * 1024]);
+        k.install_file("/image", Placement::User, vec![1u8; 32 * 1024]);
         k.register_process(1);
         let mut p = Pump::new(k);
         let fd = p
@@ -1907,7 +1909,7 @@ mod tests {
     #[test]
     fn text_touch_pages_in_from_executable() {
         let mut k = kernel();
-        k.install_file("/bin/app", Placement::User, &vec![0x90u8; 20 * 1024]);
+        k.install_file("/bin/app", Placement::User, vec![0x90u8; 20 * 1024]);
         k.register_process(1);
         let (o, _) = k.syscall(
             0,
@@ -2042,7 +2044,7 @@ mod tests {
     #[test]
     fn process_exit_releases_resources_and_orphans_tokens() {
         let mut k = kernel();
-        k.install_file("/bin/app", Placement::User, &vec![0u8; 8 * 1024]);
+        k.install_file("/bin/app", Placement::User, vec![0u8; 8 * 1024]);
         k.register_process(1);
         let (o, _) = k.syscall(
             0,

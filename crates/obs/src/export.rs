@@ -1,7 +1,10 @@
 //! Run-level report and the two exporters: Chrome trace-event JSON
 //! (Perfetto-loadable) and `/proc`-style plain-text snapshots.
 
+use std::fmt::Write;
+
 use essio_stream::sketch::LogHistogram;
+use essio_trace::Op;
 use serde::{Serialize, Value};
 
 use crate::registry::MetricsRegistry;
@@ -38,12 +41,95 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-fn s(v: impl Into<String>) -> Value {
-    Value::String(v.into())
-}
-
 fn i(v: u64) -> Value {
     Value::Int(v as i128)
+}
+
+/// A compact JSON object being written into a string, one field at a time.
+/// Keys are written as given: every key the exporter uses is a plain ASCII
+/// identifier, which needs no escaping.
+struct Obj<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Obj<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        Obj { out, empty: true }
+    }
+
+    /// Write the separator and `"key":`, returning the string for the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn int(&mut self, key: &str, v: u64) -> &mut Self {
+        push_u64(self.key(key), v);
+        self
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        push_json_str(self.key(key), v);
+        self
+    }
+
+    fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    fn close(&mut self) {
+        self.out.push('}');
+    }
+
+    /// Close a top-level event and write the separator that
+    /// [`ObsReport::chrome_trace`] strips after the last one.
+    fn close_event(self) {
+        self.out.push_str("},");
+    }
+}
+
+/// Decimal digits of `v`, as `serde_json` formats an integer.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// A JSON string literal with `serde_json`'s escapes: quote, backslash,
+/// `\n`, `\r`, `\t`, and `\u00XX` for other control characters.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("String writes are infallible");
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 impl ObsReport {
@@ -72,145 +158,144 @@ impl ObsReport {
     /// failure/retry markers, a `net` track of delayed PVM sends, and
     /// request spans as async begin/end pairs grouped by operation.
     /// All timestamps are virtual microseconds.
+    ///
+    /// Events are written straight into one pre-sized string, in the
+    /// compact form `serde_json::to_string` gives a `Value` tree with the
+    /// same fields in the same order.
     pub fn chrome_trace(&self) -> String {
-        let mut events: Vec<Value> = Vec::with_capacity(2 * self.spans.len() + self.phys.len());
+        let mut out = String::with_capacity(
+            64 + 400 * self.nodes as usize
+                + 560 * self.spans.len()
+                + 360 * self.phys.len()
+                + 200 * self.net.len(),
+        );
+        out.push_str("{\"traceEvents\":[");
         for node in 0..self.nodes {
-            let pid = node as u64;
-            events.push(obj(vec![
-                ("name", s("process_name")),
-                ("ph", s("M")),
-                ("pid", i(pid)),
-                ("args", obj(vec![("name", s(format!("node{node:02}")))])),
-            ]));
+            let mut ev = Obj::open(&mut out);
+            ev.str("name", "process_name")
+                .str("ph", "M")
+                .int("pid", node as u64);
+            let mut args = Obj::open(ev.key("args"));
+            write!(args.key("name"), "\"node{node:02}\"").expect("String writes are infallible");
+            args.close();
+            ev.close_event();
             for (tid, name) in [(TID_DISK, "disk"), (TID_FAULTS, "faults"), (TID_NET, "net")] {
-                events.push(obj(vec![
-                    ("name", s("thread_name")),
-                    ("ph", s("M")),
-                    ("pid", i(pid)),
-                    ("tid", i(tid as u64)),
-                    ("args", obj(vec![("name", s(name))])),
-                ]));
+                let mut ev = Obj::open(&mut out);
+                ev.str("name", "thread_name")
+                    .str("ph", "M")
+                    .int("pid", node as u64)
+                    .int("tid", tid as u64);
+                Obj::open(ev.key("args")).str("name", name).close();
+                ev.close_event();
             }
         }
         for span in &self.spans {
-            let id = s(format!("0x{:x}", span.uid()));
             let cat = if span.kind.is_kernel() {
                 "kernel"
             } else {
                 "request"
             };
-            let mut args = vec![
-                ("span", i(span.uid())),
-                ("pid", i(span.pid.map(|p| p as u64).unwrap_or(0))),
-                ("cache_hits", i(span.cache_hits as u64)),
-                ("cache_misses", i(span.cache_misses as u64)),
-                ("ra_window", i(span.ra_window as u64)),
-                ("ra_blocks", i(span.ra_blocks as u64)),
-                ("tokens", i(span.tokens as u64)),
-                ("records", i(span.records as u64)),
-                ("bytes", i(span.bytes)),
-                ("queue_wait_us", i(span.queue_wait_us)),
-                ("service_us", i(span.service_us)),
-                ("retry_us", i(span.retry_us)),
-                ("retries", i(span.retries as u64)),
-                ("relocations", i(span.relocations as u64)),
-                ("net_delay_us", i(span.net_delay_us)),
-            ];
-            if span.truncated {
-                args.push(("truncated", Value::Bool(true)));
+            for (ph, ts) in [("b", span.begin_us), ("e", span.end_us)] {
+                let mut ev = Obj::open(&mut out);
+                ev.str("name", span.kind.label())
+                    .str("cat", cat)
+                    .str("ph", ph);
+                write!(ev.key("id"), "\"0x{:x}\"", span.uid())
+                    .expect("String writes are infallible");
+                ev.int("pid", span.node as u64).int("tid", 0).int("ts", ts);
+                if ph == "b" {
+                    let mut args = Obj::open(ev.key("args"));
+                    args.int("span", span.uid())
+                        .int("pid", span.pid.map(|p| p as u64).unwrap_or(0))
+                        .int("cache_hits", span.cache_hits as u64)
+                        .int("cache_misses", span.cache_misses as u64)
+                        .int("ra_window", span.ra_window as u64)
+                        .int("ra_blocks", span.ra_blocks as u64)
+                        .int("tokens", span.tokens as u64)
+                        .int("records", span.records as u64)
+                        .int("bytes", span.bytes)
+                        .int("queue_wait_us", span.queue_wait_us)
+                        .int("service_us", span.service_us)
+                        .int("retry_us", span.retry_us)
+                        .int("retries", span.retries as u64)
+                        .int("relocations", span.relocations as u64)
+                        .int("net_delay_us", span.net_delay_us);
+                    if span.truncated {
+                        args.bool("truncated", true);
+                    }
+                    args.close();
+                }
+                ev.close_event();
             }
-            events.push(obj(vec![
-                ("name", s(span.kind.label())),
-                ("cat", s(cat)),
-                ("ph", s("b")),
-                ("id", id.clone()),
-                ("pid", i(span.node as u64)),
-                ("tid", i(0)),
-                ("ts", i(span.begin_us)),
-                (
-                    "args",
-                    Value::Object(args.into_iter().map(|(k, v)| (k.into(), v)).collect()),
-                ),
-            ]));
-            events.push(obj(vec![
-                ("name", s(span.kind.label())),
-                ("cat", s(cat)),
-                ("ph", s("e")),
-                ("id", id),
-                ("pid", i(span.node as u64)),
-                ("tid", i(0)),
-                ("ts", i(span.end_us)),
-            ]));
         }
         for ph in &self.phys {
-            let op = format!("{:?}", ph.op).to_lowercase();
-            events.push(obj(vec![
-                ("name", s(format!("{op} {}@{}", ph.nsectors, ph.sector))),
-                ("cat", s("disk")),
-                ("ph", s("X")),
-                ("pid", i(ph.node as u64)),
-                ("tid", i(TID_DISK as u64)),
-                ("ts", i(ph.dispatch_us)),
-                ("dur", i(ph.complete_us.saturating_sub(ph.dispatch_us))),
-                (
-                    "args",
-                    obj(vec![
-                        ("sector", i(ph.sector)),
-                        ("nsectors", i(ph.nsectors as u64)),
-                        ("origin", s(format!("{:?}", ph.origin))),
-                        ("span", i(((ph.node as u64) << 48) | ph.span)),
-                        ("submit_us", i(ph.submit_us)),
-                        ("queue_depth", i(ph.queue_depth as u64)),
-                        ("retry", Value::Bool(ph.retry)),
-                        ("failed", Value::Bool(ph.failed)),
-                        ("truncated", Value::Bool(ph.truncated)),
-                    ]),
-                ),
-            ]));
+            let op = match ph.op {
+                Op::Read => "read",
+                Op::Write => "write",
+            };
+            let span = ((ph.node as u64) << 48) | ph.span;
+            let mut ev = Obj::open(&mut out);
+            write!(ev.key("name"), "\"{op} {}@{}\"", ph.nsectors, ph.sector)
+                .expect("String writes are infallible");
+            ev.str("cat", "disk")
+                .str("ph", "X")
+                .int("pid", ph.node as u64)
+                .int("tid", TID_DISK as u64)
+                .int("ts", ph.dispatch_us)
+                .int("dur", ph.complete_us.saturating_sub(ph.dispatch_us));
+            let mut args = Obj::open(ev.key("args"));
+            args.int("sector", ph.sector)
+                .int("nsectors", ph.nsectors as u64);
+            // A fieldless variant's name needs no escaping.
+            write!(args.key("origin"), "\"{:?}\"", ph.origin)
+                .expect("String writes are infallible");
+            args.int("span", span)
+                .int("submit_us", ph.submit_us)
+                .int("queue_depth", ph.queue_depth as u64)
+                .bool("retry", ph.retry)
+                .bool("failed", ph.failed)
+                .bool("truncated", ph.truncated)
+                .close();
+            ev.close_event();
             if ph.failed || ph.retry {
-                events.push(obj(vec![
-                    ("name", s(if ph.failed { "media-fail" } else { "retry" })),
-                    ("cat", s("faults")),
-                    ("ph", s("i")),
-                    ("s", s("t")),
-                    ("pid", i(ph.node as u64)),
-                    ("tid", i(TID_FAULTS as u64)),
-                    ("ts", i(ph.dispatch_us)),
-                    (
-                        "args",
-                        obj(vec![
-                            ("sector", i(ph.sector)),
-                            ("span", i(((ph.node as u64) << 48) | ph.span)),
-                        ]),
-                    ),
-                ]));
+                let mut ev = Obj::open(&mut out);
+                ev.str("name", if ph.failed { "media-fail" } else { "retry" })
+                    .str("cat", "faults")
+                    .str("ph", "i")
+                    .str("s", "t")
+                    .int("pid", ph.node as u64)
+                    .int("tid", TID_FAULTS as u64)
+                    .int("ts", ph.dispatch_us);
+                Obj::open(ev.key("args"))
+                    .int("sector", ph.sector)
+                    .int("span", span)
+                    .close();
+                ev.close_event();
             }
         }
         for e in &self.net {
-            events.push(obj(vec![
-                ("name", s("retransmit")),
-                ("cat", s("net")),
-                ("ph", s("i")),
-                ("s", s("t")),
-                ("pid", i(e.from_node as u64)),
-                ("tid", i(TID_NET as u64)),
-                ("ts", i(e.at_us)),
-                (
-                    "args",
-                    obj(vec![
-                        ("from_pid", i(e.from_pid as u64)),
-                        ("to_pid", i(e.to_pid as u64)),
-                        ("attempts", i(e.attempts as u64)),
-                        ("backoff_us", i(e.backoff_us)),
-                    ]),
-                ),
-            ]));
+            let mut ev = Obj::open(&mut out);
+            ev.str("name", "retransmit")
+                .str("cat", "net")
+                .str("ph", "i")
+                .str("s", "t")
+                .int("pid", e.from_node as u64)
+                .int("tid", TID_NET as u64)
+                .int("ts", e.at_us);
+            Obj::open(ev.key("args"))
+                .int("from_pid", e.from_pid as u64)
+                .int("to_pid", e.to_pid as u64)
+                .int("attempts", e.attempts as u64)
+                .int("backoff_us", e.backoff_us)
+                .close();
+            ev.close_event();
         }
-        let root = obj(vec![
-            ("traceEvents", Value::Array(events)),
-            ("displayTimeUnit", s("ms")),
-        ]);
-        serde_json::to_string(&root).expect("shim serialization is infallible")
+        // Every event is followed by a separator; drop the last one.
+        if out.ends_with(',') {
+            out.pop();
+        }
+        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out
     }
 
     /// `/proc`-style plain-text snapshot for one node, mirroring the
@@ -252,5 +337,41 @@ impl Serialize for ObsReport {
             ("unclosed_spans", i(self.unclosed)),
             ("metrics", self.metrics.to_value()),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The direct writer renders integers, booleans and escaped strings
+    /// exactly as `serde_json` renders the equivalent `Value` object.
+    #[test]
+    fn direct_writer_matches_serde_json() {
+        let text = "quote\" back\\ nl\n cr\r tab\t bell\u{7} unit\u{1f} é ∑";
+        let mut out = String::new();
+        let mut o = Obj::open(&mut out);
+        o.int("zero", 0)
+            .int("max", u64::MAX)
+            .str("text", text)
+            .bool("yes", true)
+            .bool("no", false);
+        Obj::open(o.key("args")).int("n", 1_234_567_890).close();
+        o.close();
+        let tree = obj(vec![
+            ("zero", i(0)),
+            ("max", i(u64::MAX)),
+            ("text", Value::String(text.into())),
+            ("yes", Value::Bool(true)),
+            ("no", Value::Bool(false)),
+            ("args", obj(vec![("n", i(1_234_567_890))])),
+        ]);
+        assert_eq!(out, serde_json::to_string(&tree).unwrap());
+    }
+
+    #[test]
+    fn empty_report_is_a_valid_trace() {
+        let json = ObsReport::default().chrome_trace();
+        assert_eq!(json, r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#);
     }
 }

@@ -32,11 +32,17 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts (the
+/// recursion limit of the real `serde_json`). Parsing recurses once per
+/// level, so without a cap a long run of `[` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Deserialize from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -157,6 +163,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +212,8 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(b) => Err(DeError::new(format!(
                 "unexpected character `{}` at byte {}",
@@ -213,6 +221,20 @@ impl Parser<'_> {
             ))),
             None => Err(DeError::new("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, refusing to go past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(DeError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -418,6 +440,7 @@ mod tests {
             let mut p = Parser {
                 bytes: src.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             p.skip_ws();
             p.parse_value().unwrap()
@@ -438,6 +461,18 @@ mod tests {
         let mut out = String::new();
         write_float(&mut out, 3.0);
         assert_eq!(out, "3.0");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        // One million `[` used to abort the process with a stack overflow.
+        let err = from_str::<Value>(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

@@ -385,6 +385,12 @@ fn decode_columnar_frame(
     frame_at: u64,
 ) -> Result<(), DecodeError> {
     let corrupt = || DecodeError::Corrupt { at: frame_at };
+    // Every record takes at least one byte in each varint column, so a
+    // count above the body length is corrupt; checking it first bounds the
+    // allocation by the input's size.
+    if n > body.len() {
+        return Err(corrupt());
+    }
     let base = out.len();
     out.reserve(n);
     let mut c = ColCursor::new(body);
@@ -619,10 +625,14 @@ impl<R: Read> ChunkedDecoder<R> {
         if n == 0 {
             return Err(DecodeError::Corrupt { at: frame_at });
         }
-        if self.buf.len() < body_len {
-            self.buf.resize(body_len, 0);
-        }
-        let got = Self::read_full(&mut self.src, &mut self.buf[..body_len])?;
+        // Read through `take` rather than sizing the buffer from the
+        // header, so a corrupt length cannot allocate more than the stream
+        // holds.
+        self.buf.clear();
+        let got = (&mut self.src)
+            .take(body_len as u64)
+            .read_to_end(&mut self.buf)
+            .map_err(|e| DecodeError::Io(e.kind()))?;
         if got < body_len {
             return Err(DecodeError::Truncated { at: frame_at });
         }
@@ -1070,6 +1080,41 @@ mod tests {
         bad.extend_from_slice(&[0u8; 9]);
         let at = encoded.len() as u64;
         assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
+    }
+
+    #[test]
+    fn columnar_frame_count_beyond_its_body_is_corrupt() {
+        // A 2^56-record frame with a one-byte body: the count alone once
+        // sized an allocation of 1.7 EB and aborted the process.
+        let mut bad = MAGIC_COLUMNAR.to_vec();
+        let mut header = BytesMut::new();
+        put_varint(&mut header, 1 << 56);
+        put_varint(&mut header, 1);
+        bad.extend_from_slice(&header);
+        bad.push(0);
+        let at = MAGIC_COLUMNAR.len() as u64;
+        assert_eq!(decode(&bad), Err(DecodeError::Corrupt { at }));
+        for chunk in [1, 4096] {
+            assert_eq!(drain_chunked(&bad, chunk), Err(DecodeError::Corrupt { at }));
+        }
+    }
+
+    #[test]
+    fn columnar_body_length_beyond_the_stream_is_truncated() {
+        let mut bad = MAGIC_COLUMNAR.to_vec();
+        let mut header = BytesMut::new();
+        put_varint(&mut header, 1);
+        put_varint(&mut header, 1 << 56);
+        bad.extend_from_slice(&header);
+        bad.extend_from_slice(&[0u8; 8]);
+        let at = MAGIC_COLUMNAR.len() as u64;
+        assert_eq!(decode(&bad), Err(DecodeError::Truncated { at }));
+        for chunk in [1, 4096] {
+            assert_eq!(
+                drain_chunked(&bad, chunk),
+                Err(DecodeError::Truncated { at })
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() {
 
     // A custom workload: a crude database-style workload — append a log,
     // then do scattered point reads against a data file.
-    bw.install_file(0, "/data/table", Placement::User, &vec![0xA5u8; 128 * 1024]);
+    bw.install_file(0, "/data/table", Placement::User, vec![0xA5u8; 128 * 1024]);
     bw.spawn(0, "mini-db", 0, |ctx| {
         let mut wal = SimFile::open(ctx, "/data/wal", true, Placement::User);
         let mut table = SimFile::open(ctx, "/data/table", false, Placement::User);

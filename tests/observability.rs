@@ -275,6 +275,73 @@ fn streamed_runs_carry_the_same_report() {
     assert_eq!(a.proc_text(), b.proc_text());
 }
 
+/// FNV-1a of the Perfetto export for two quick runs that between them emit
+/// every event kind the exporter writes. Any change to key order, number
+/// formatting or escaping moves these hashes.
+#[test]
+fn chrome_trace_bytes_are_pinned() {
+    let faulty = Experiment::ppm().quick().seed(31).obs(true).faults(
+        FaultPlan::none()
+            .seed(0xBAD)
+            .disk(DiskFaultConfig {
+                media_error_every: 40,
+                slow_every: 25,
+                ..Default::default()
+            })
+            // `lossy_segment` loses too few frames at quick scale to delay
+            // any send; one frame in five does.
+            .net(NetFaultConfig {
+                loss_every: 5,
+                ..NetFaultConfig::lossy_segment()
+            }),
+    );
+    let crashed = Experiment::ppm()
+        .quick()
+        .seed(32)
+        .obs(true)
+        .faults(FaultPlan::none().crash(1, 5_000_000));
+    let mut kinds = std::collections::BTreeSet::new();
+    for (experiment, pinned) in [
+        (faulty, 0xf49a_73e3_b79a_6273u64),
+        (crashed, 0x2a3e_c548_bdde_3f9f),
+    ] {
+        let json = experiment.run().obs.expect("report").chrome_trace();
+        assert_eq!(
+            essio_conform::Fnv64::hash(json.as_bytes()),
+            pinned,
+            "Perfetto export bytes changed"
+        );
+        let root: Value = serde_json::from_str(&json).expect("valid JSON");
+        let events = lookup(&root, "traceEvents")
+            .and_then(Value::as_array)
+            .expect("traceEvents array");
+        for ev in events {
+            let ph = lookup(ev, "ph").and_then(Value::as_str).expect("ph");
+            let name = lookup(ev, "name").and_then(Value::as_str).expect("name");
+            let truncated =
+                lookup(ev, "args").and_then(|a| lookup(a, "truncated")) == Some(&Value::Bool(true));
+            kinds.insert(match ph {
+                "M" | "i" => format!("{ph} {name}"),
+                "b" if truncated => "b truncated".to_string(),
+                other => other.to_string(),
+            });
+        }
+    }
+    for kind in [
+        "M process_name",
+        "M thread_name",
+        "b",
+        "b truncated",
+        "e",
+        "X",
+        "i media-fail",
+        "i retry",
+        "i retransmit",
+    ] {
+        assert!(kinds.contains(kind), "no `{kind}` event in {kinds:?}");
+    }
+}
+
 #[cfg(feature = "proptests")]
 mod prop {
     use super::*;
